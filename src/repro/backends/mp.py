@@ -573,15 +573,29 @@ class MachineServer:
 
     def _connection_loop(self, channel: SocketChannel) -> None:
         # Replies from the worker pool funnel through one coalescer per
-        # connection, so a burst of small responses also batches.
+        # connection, so a burst of small responses also batches.  The
+        # reader counts the replies owed on the connection; a reply that
+        # settles the count while no rest of a received BATCH waits for
+        # dispatch has nothing to batch with, so its worker writes it
+        # inline instead of handing it to the writer thread.
         sender: Optional[CoalescingSender] = None
+        owed = 0
+        owed_lock = threading.Lock()
         if self.config.wire.coalesce:
             sender = CoalescingSender(
                 channel,
                 max_msgs=self.config.wire.coalesce_max_msgs,
                 max_bytes=self.config.wire.coalesce_max_bytes,
                 name=f"oopp-m{self.machine_id}-reply")
-        reply_send = sender.send if sender is not None else channel.send
+
+            def reply_send(reply) -> None:
+                nonlocal owed
+                with owed_lock:
+                    owed -= 1
+                    solo = owed == 0 and not channel.buffered
+                sender.send(reply, solo=solo)
+        else:
+            reply_send = channel.send
         try:
             with context_scope(self.context):
                 while True:
@@ -595,6 +609,9 @@ class MachineServer:
                         channel.close()
                         return
                     if isinstance(msg, Request):
+                        if not msg.oneway:
+                            with owed_lock:
+                                owed += 1
                         if msg.object_id == KERNEL_OID:
                             # shutdown and ping are non-blocking by
                             # construction (set an event / return an

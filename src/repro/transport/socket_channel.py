@@ -403,6 +403,12 @@ class SocketChannel(Channel):
             pass
 
     @property
+    def buffered(self) -> int:
+        """Messages already decoded from a received ``KIND_BATCH`` frame
+        that :meth:`recv` has not returned yet."""
+        return len(self._rx_pending)
+
+    @property
     def stats(self) -> dict:
         """Traffic counters for diagnostics and benchmarks."""
         return {

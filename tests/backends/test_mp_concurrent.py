@@ -9,10 +9,14 @@ the socket, and the knobs can be flipped off without changing semantics.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 import repro as oopp
+from repro.runtime.proxy import ref_of
+from repro.transport.message import Hello, Request, Response
+from repro.transport.socket_channel import SocketChannel
 from repro.util.ids import IdAllocator
 
 
@@ -22,6 +26,32 @@ class Echo:
 
     def add(self, a, b):
         return a + b
+
+
+class Napper:
+    def nap(self, seconds):
+        time.sleep(seconds)
+        return seconds
+
+    def echo(self, tag):
+        return tag
+
+
+def dial(cluster, machine: int) -> SocketChannel:
+    """A raw client connection to *machine*'s object server."""
+    host, port = cluster.fabric._client._addrs[machine]
+    channel = SocketChannel.connect(host, port, timeout=10)
+    channel.send(Hello(caller=-1))
+    return channel
+
+
+def wait_until(predicate, timeout: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.02)
+    return predicate()
 
 
 def burst_from_threads(cluster, n_threads=6, per_thread=40):
@@ -123,3 +153,34 @@ class TestConcurrentBursts:
             assert [f.result(30) for f in futures] == list(range(n))
             sent = cluster.fabric.traffic()["frames_out"] - base
             assert sent <= n, f"coalescing never packed: {sent} frames for {n}"
+
+
+class TestClientVanishes:
+    def test_client_closes_during_a_slow_sync_body(self, mp_cluster):
+        # The nap's reply is the only one owed on its connection, so the
+        # worker that ran the body sends it itself.  The client is gone
+        # by then and the send fails; the worker must swallow that
+        # failure, and the machine must keep serving.
+        obj = mp_cluster.on(1).new(Napper)
+        oid = ref_of(obj).oid
+        kernel = mp_cluster.on(1)
+
+        def queued():
+            return kernel.stats()["serve"]["queued"]
+
+        doomed = dial(mp_cluster, 1)
+        doomed.send(Request(request_id=1, object_id=oid, method="nap",
+                            args=(0.5,)))
+        assert wait_until(lambda: queued() == 1), "nap never admitted"
+        doomed.close()
+        assert wait_until(lambda: queued() == 0), "serve depth leaked"
+
+        fresh = dial(mp_cluster, 1)
+        try:
+            fresh.send(Request(request_id=1, object_id=oid, method="echo",
+                               args=("again",)))
+            reply = fresh.recv(timeout=10)
+        finally:
+            fresh.close()
+        assert isinstance(reply, Response) and reply.value == "again"
+        assert obj.echo(7) == 7

@@ -100,6 +100,21 @@ class TestClusterMetrics:
         for group in GROUPS:
             assert group in m1
 
+    def test_mp_sync_replies_go_inline_and_bursts_still_batch(
+            self, mp_cluster):
+        obj = mp_cluster.on(1).new(Echo)
+        for i in range(200):
+            assert obj.echo(i) == i
+        m1 = mp_cluster.metrics()["machine 1"]["coalesce"]
+        # each sync call's reply was the only one owed on its
+        # connection, so the worker wrote it without the writer hop
+        assert m1.get("inline_sends", 0) >= 180
+        futures = [obj.echo.future(i) for i in range(200)]
+        assert [f.result(60) for f in futures] == list(range(200))
+        m1 = mp_cluster.metrics()["machine 1"]["coalesce"]
+        # a pipelined burst's replies still batch behind the writer
+        assert m1.get("batched_flushes", 0) >= 1
+
     def test_metrics_counts_retries(self, tmp_path):
         from repro.transport.faults import FaultPlan, FaultRule
 
