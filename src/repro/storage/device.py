@@ -133,14 +133,13 @@ class PageDevice:
     def write(self, page: Page, PageIndex: int) -> None:
         """Store *page* at the given address."""
         self._check_index(PageIndex)
-        data = page.to_bytes()
-        if len(data) != self.PageSize:
+        if page.nbytes != self.PageSize:
             raise PageSizeError(
-                f"device pages are {self.PageSize} bytes, got {len(data)}")
+                f"device pages are {self.PageSize} bytes, got {page.nbytes}")
         current_hooks().charge_disk_write(self.disk_key, self._charged_size())
         with self._io_lock:
             self._file.seek(PageIndex * self.PageSize)
-            self._file.write(data)
+            self._file.write(page.raw)
             self._file.flush()
             self.writes += 1
 
@@ -151,21 +150,32 @@ class PageDevice:
         Python the page is the return value (it crosses the network as
         the response payload either way).
         """
-        self._check_index(PageIndex)
-        current_hooks().charge_disk_read(self.disk_key, self._charged_size())
-        with self._io_lock:
-            self._file.seek(PageIndex * self.PageSize)
-            data = self._file.read(self.PageSize)
-            self.reads += 1
-        page = Page(self.PageSize, data)
+        page = Page(self.PageSize)
+        self._fill(page.raw, PageIndex)
         if self.nominal_page_size is not None:
             page.with_nominal_size(self.nominal_page_size)
         return page
 
     def read_into(self, page: Page, PageIndex: int) -> None:
         """Closest form to the paper's out-parameter read."""
-        fetched = self.read(PageIndex)
-        page.update(fetched.to_bytes())
+        if page.nbytes != self.PageSize:
+            raise PageSizeError(
+                f"page holds {page.nbytes} bytes, device pages are "
+                f"{self.PageSize}")
+        self._fill(page.raw, PageIndex)
+
+    def _fill(self, buf, PageIndex: int) -> None:
+        """Read one device page straight into *buf* (no staging copy)."""
+        self._check_index(PageIndex)
+        current_hooks().charge_disk_read(self.disk_key, self._charged_size())
+        with self._io_lock:
+            self._file.seek(PageIndex * self.PageSize)
+            got = self._file.readinto(buf)
+            self.reads += 1
+        if got != self.PageSize:
+            raise PageSizeError(
+                f"device page {PageIndex} is short: read {got} of "
+                f"{self.PageSize} bytes (backing file truncated?)")
 
     # -- introspection ------------------------------------------------------------
 
@@ -287,9 +297,8 @@ class ArrayPageDevice(PageDevice):
         return (self.n1, self.n2, self.n3)
 
     def read_page(self, PageIndex: int) -> ArrayPage:
-        raw = super().read(PageIndex)
         page = ArrayPage(self.n1, self.n2, self.n3)
-        page.update(raw.to_bytes())
+        self._fill(page.raw, PageIndex)
         if self.nominal_page_size is not None:
             page.with_nominal_size(self.nominal_page_size)
         return page

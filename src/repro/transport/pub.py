@@ -314,7 +314,7 @@ class PubRegistry:
                 del self._attached[key]
         if record.seg is not None:
             try:
-                shm._unlink_quiet(record.seg)
+                shm._unlink(record.seg.name)
             except OSError:  # pragma: no cover - concurrent cleanup
                 pass
             try:

@@ -2,17 +2,25 @@
 
 The mp backend always runs caller and callee on one host, so a bulk
 buffer never needs to traverse the socket at all: the sender writes it
-once into a ``multiprocessing.shared_memory`` segment and ships only a
-small *descriptor* (name + size) in the frame; the receiver maps the
-segment and hands the runtime a writable view of the same physical
-pages.  One copy total (sender staging), zero copies on the receive
-side — versus ~3 for the socket path (kernel buffer, reassembly, and
-the consumer's own copy).
+once into a fresh POSIX shared-memory segment and ships only a small
+*descriptor* (name + size) in the frame; the receiver maps the segment
+and hands the runtime a writable view of the same physical pages.  One
+copy total (the sender's ``pwrite``), zero copies on the receive side —
+versus ~3 for the socket path (kernel buffer, reassembly, and the
+consumer's own copy).
+
+The sender never maps the segment.  It fills the segment's descriptor
+with ``os.pwrite``, which costs one kernel copy; storing through a
+fresh mapping would first take a user page fault on every 4 KiB page,
+and for a 4 MiB buffer those faults cost several times the copy.  It also turns a full
+``/dev/shm`` into ``ENOSPC`` at send time — a :class:`TransportError`
+— where a store into a tmpfs mapping that cannot get a page raises
+``SIGBUS``.
 
 Ownership protocol
 ------------------
-* The **sender** creates the segment, fills it, closes its mapping and
-  forgets it.  If the send fails before the frame leaves, the sender
+* The **sender** creates the segment, fills it, closes its descriptor
+  and forgets it.  If the send fails before the frame leaves, the sender
   unlinks (the receiver can never have seen the name).
 * The **receiver** owns cleanup (the paper's kernel object is the
   natural owner, hence "refcounted cleanup on the receiving kernel"):
@@ -37,6 +45,7 @@ unlinks whatever a process still holds when it dies politely.
 
 from __future__ import annotations
 
+import _posixshmem
 import atexit
 import os
 import secrets
@@ -88,19 +97,11 @@ def _open_untracked(**kwargs) -> shared_memory.SharedMemory:
             resource_tracker.register = orig
 
 
-def _unlink_quiet(seg: shared_memory.SharedMemory) -> None:
-    """Unlink without notifying the resource tracker (which never heard
-    about this segment — see :func:`_open_untracked`; an unregister for
-    an unknown name makes the tracker process log a KeyError)."""
-    from multiprocessing import resource_tracker
-
-    with _tracker_lock:
-        orig = resource_tracker.unregister
-        resource_tracker.unregister = lambda *a, **k: None
-        try:
-            seg.unlink()
-        finally:
-            resource_tracker.unregister = orig
+def _unlink(name: str) -> None:
+    """Remove *name* from ``/dev/shm`` without telling the resource
+    tracker, which never heard of it (see :func:`_open_untracked`; an
+    unregister for an unknown name makes the tracker log a KeyError)."""
+    _posixshmem.shm_unlink("/" + name)
 
 
 def pack_descriptor(name: str, size: int) -> bytes:
@@ -163,56 +164,69 @@ def _reclaim_exported() -> None:
         _exported.clear()
     for name in names:
         try:
-            seg = _open_untracked(name=name)
-        except (FileNotFoundError, OSError):
-            continue  # receiver cleaned it up, the common case
-        try:
-            _unlink_quiet(seg)
-            seg.close()
-        except OSError:  # pragma: no cover - concurrent cleanup
-            pass
+            _unlink(name)
+        except OSError:
+            pass  # receiver cleaned it up, the common case
 
 
 class OutboundSegment:
     """A filled segment waiting for its frame to hit the wire."""
 
-    def __init__(self, seg: shared_memory.SharedMemory, size: int) -> None:
-        self._seg = seg
-        self.name = seg.name
-        self.descriptor = pack_descriptor(seg.name, size)
+    def __init__(self, name: str, size: int) -> None:
+        self.name = name
+        self.descriptor = pack_descriptor(name, size)
+        self._pending = True
 
     def commit(self) -> None:
         """The frame was sent: the receiver owns the segment now (with
         the sender's exit sweep as the crash net)."""
-        if self._seg is not None:
-            self._seg.close()
-            self._seg = None
+        if self._pending:
+            self._pending = False
             _note_exported(self.name)
 
     def abort(self) -> None:
         """The frame never left: reclaim the segment."""
-        if self._seg is not None:
+        if self._pending:
+            self._pending = False
             try:
-                self._seg.close()
-                _unlink_quiet(self._seg)
+                _unlink(self.name)
             except OSError:  # pragma: no cover - already gone
                 pass
-            self._seg = None
 
 
 def export_buffer(view: memoryview) -> OutboundSegment:
     """Stage *view* (flat u8, from :func:`repro.transport.serde.dumps`)
-    into a fresh segment; one copy."""
+    in a fresh segment with ``pwrite`` on its descriptor; one kernel
+    copy, and the segment is never mapped here.
+
+    Raises :class:`TransportError` — with the name already unlinked —
+    when the segment cannot be created, sized or filled (``ENOSPC``
+    for a full ``/dev/shm``).
+    """
     size = view.nbytes
     name = f"{SHM_NAME_PREFIX}{os.getpid():x}-{secrets.token_hex(6)}"
     try:
-        seg = _open_untracked(name=name, create=True, size=max(size, 1))
+        fd = _posixshmem.shm_open("/" + name,
+                                  os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o600)
     except OSError as exc:
         raise TransportError(f"cannot create shm segment of {size} B: "
                              f"{exc}") from exc
-    seg.buf[:size] = view
-    manager().count_copy(size)
-    return OutboundSegment(seg, size)
+    try:
+        os.ftruncate(fd, max(size, 1))  # an empty file cannot be mapped
+        pos = 0
+        while pos < size:
+            pos += os.pwrite(fd, view[pos:], pos)
+    except OSError as exc:
+        _unlink(name)
+        raise TransportError(f"cannot fill shm segment of {size} B: "
+                             f"{exc}") from exc
+    except BaseException:
+        _unlink(name)
+        raise
+    finally:
+        os.close(fd)
+    manager().count_export(size)
+    return OutboundSegment(name, size)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +266,7 @@ class ShmManager:
         #: unlinked segments whose mapping is still pinned by live views.
         self._zombies: list[shared_memory.SharedMemory] = []
         self._bytes_copied = 0
+        self._exported_total = 0
         self._attached_total = 0
 
     # -- attach / release --------------------------------------------------
@@ -315,7 +330,7 @@ class ShmManager:
         # to unlink — just drop the mapping.
         if entry.unlink:
             try:
-                _unlink_quiet(entry.seg)
+                _unlink(entry.seg.name)
             except OSError:  # pragma: no cover - concurrent unlink
                 pass
         try:
@@ -361,8 +376,10 @@ class ShmManager:
 
     # -- diagnostics / lifecycle -------------------------------------------
 
-    def count_copy(self, nbytes: int) -> None:
+    def count_export(self, nbytes: int) -> None:
+        """One segment of *nbytes* staged by this process."""
         with self._lock:
+            self._exported_total += 1
             self._bytes_copied += nbytes
 
     def stats(self) -> dict:
@@ -370,6 +387,7 @@ class ShmManager:
             return {
                 "segments_live": len(self._entries),
                 "segments_attached_total": self._attached_total,
+                "segments_exported": self._exported_total,
                 "bytes_copied": self._bytes_copied,
                 "zombie_mappings": len(self._zombies),
             }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 
@@ -10,6 +11,9 @@ import pytest
 
 import repro as oopp
 from repro.errors import MachineDownError
+from repro.storage.device import PageDevice
+from repro.storage.page import Page
+from repro.transport import shm
 
 
 class Stateful:
@@ -86,6 +90,25 @@ class TestPeerToPeer:
         data = np.random.default_rng(0).random(1 << 14)
         blk.write(0, data)
         assert np.allclose(blk.read(), data)
+
+
+class TestBulkPages:
+    def test_4mib_page_round_trips_through_shm(self, tmp_path):
+        before = set(shm.host_shm_names())
+        size = 4 << 20
+        payload = os.urandom(size)
+        with oopp.Cluster(n_machines=2, backend="mp", call_timeout_s=60.0,
+                          storage_root=str(tmp_path / "root")) as cluster:
+            exported = shm.manager().stats()["segments_exported"]
+            device = cluster.on(1).new(PageDevice,
+                                       str(tmp_path / "bulk.dat"), 2, size)
+            device.write(Page(size, payload), 1)
+            assert shm.manager().stats()["segments_exported"] > exported
+            page = device.read(1)
+            assert page.to_bytes() == payload
+            del page
+        gc.collect()
+        assert set(shm.host_shm_names()) == before
 
 
 class TestFailureInjection:

@@ -101,6 +101,56 @@ class TestPageDevice:
         page = d.read(0)
         assert page.nominal_nbytes == 1 << 20
 
+    def test_read_pages_do_not_alias_each_other(self, tmp_path):
+        d = PageDevice(str(tmp_path / "d.dat"), 2, 8)
+        d.write(Page(8, b"ABCDEFGH"), 1)
+        first = d.read(1)
+        first.raw[:] = b"zzzzzzzz"
+        assert d.read(1).to_bytes() == b"ABCDEFGH"
+
+    def test_truncated_backing_file_is_short_read(self, tmp_path):
+        path = str(tmp_path / "d.dat")
+        d = ArrayPageDevice(path, 2, 2, 2, 2)
+        d.write_page(ArrayPage(2, 2, 2, np.ones(8)), 1)
+        os.truncate(path, d.PageSize + 10)
+        assert d.read(0).to_bytes() == bytes(d.PageSize)
+        with pytest.raises(PageSizeError, match="short"):
+            d.read(1)
+        with pytest.raises(PageSizeError, match="short"):
+            d.read_page(1)
+        with pytest.raises(PageSizeError, match="short"):
+            d.read_into(Page(d.PageSize), 1)
+
+    @pytest.mark.parametrize("nominal", [None, 1 << 20])
+    def test_direct_reads_match_copying_reads(self, tmp_path, nominal):
+        """``read_into`` and ``read_page`` fill the destination in place;
+        bytes and nominal sizes are what read-then-copy produced."""
+        d = ArrayPageDevice(str(tmp_path / "d.dat"), 2, 4, 4, 4,
+                            nominal_page_size=nominal)
+        values = np.arange(64.0)
+        d.write_page(ArrayPage(4, 4, 4, values), 1)
+        fetched = d.read(1)
+
+        copied = ArrayPage(4, 4, 4)
+        copied.update(fetched.to_bytes())
+        if nominal is not None:
+            copied.with_nominal_size(nominal)
+        page = d.read_page(1)
+        assert page.to_bytes() == copied.to_bytes()
+        assert page.nominal_nbytes == copied.nominal_nbytes
+        assert np.array_equal(page.array.ravel(), values)
+
+        for target in (Page(d.PageSize), ArrayPage(4, 4, 4)):
+            target.with_nominal_size(3 << 20)
+            d.read_into(target, 1)
+            assert target.to_bytes() == fetched.to_bytes()
+            assert target.nominal_nbytes == 3 << 20  # the target's own
+
+    def test_read_into_rejects_wrong_size(self, tmp_path):
+        d = PageDevice(str(tmp_path / "d.dat"), 2, 8)
+        with pytest.raises(PageSizeError):
+            d.read_into(Page(4), 0)
+
 
 class TestArrayPageDevice:
     def test_page_size_derived_from_block_shape(self, tmp_path):

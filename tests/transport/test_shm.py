@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import os
 
@@ -72,6 +73,18 @@ class TestExportAttach:
         assert name in shm.host_shm_names()
         out.abort()
         assert name not in shm.host_shm_names()
+        out.abort()   # settled segments ignore a second abort...
+        out.commit()  # ...and a late commit
+
+    def test_zero_byte_buffer_round_trips(self):
+        out = shm.export_buffer(memoryview(b""))
+        name, size = shm.unpack_descriptor(out.descriptor)
+        assert size == 0
+        view = shm.manager().attach(name, size)
+        out.commit()
+        assert bytes(view) == b""
+        shm.manager().release(name)
+        assert name not in shm.host_shm_names()
 
     def test_attach_unknown_name_raises(self):
         with pytest.raises(TransportError, match="attach"):
@@ -85,6 +98,49 @@ class TestExportAttach:
                 shm.manager().attach(name, 1 << 20)
         finally:
             out.abort()
+
+
+def _segment_name(fd: int) -> str:
+    return os.path.basename(os.readlink(f"/proc/self/fd/{fd}"))
+
+
+class TestPwriteFill:
+    """The sender fills segments through their descriptor, never a
+    mapping: failures surface as typed errors at send time."""
+
+    def test_full_dev_shm_is_transport_error_and_unlinks(self, monkeypatch):
+        seen = []
+
+        def full(fd, data, offset):
+            seen.append(_segment_name(fd))
+            assert seen[0] in shm.host_shm_names()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "pwrite", full)
+        with pytest.raises(TransportError, match="No space left"):
+            shm.export_buffer(memoryview(bytes(4096)))
+        assert seen and seen[0] not in shm.host_shm_names()
+
+    def test_short_writes_still_deliver_every_byte(self, monkeypatch):
+        real_pwrite = os.pwrite
+        calls = []
+
+        def short(fd, data, offset):
+            calls.append(offset)
+            return real_pwrite(fd, data[:64 << 10], offset)
+
+        monkeypatch.setattr(os, "pwrite", short)
+        payload = os.urandom((1 << 20) + 123)
+        out = shm.export_buffer(memoryview(payload))
+        monkeypatch.undo()
+        assert len(calls) == 17
+        name, size = shm.unpack_descriptor(out.descriptor)
+        view = shm.manager().attach(name, size)
+        out.commit()
+        try:
+            assert size == len(payload) and bytes(view) == payload
+        finally:
+            shm.manager().release(name)
 
 
 class TestRefcounting:
@@ -164,7 +220,9 @@ class TestRefcounting:
 
     def test_stats_track_copies(self):
         mgr = shm.manager()
-        before = mgr.stats()["bytes_copied"]
+        before = mgr.stats()
         out = shm.export_buffer(memoryview(bytes(1000)))
         out.abort()
-        assert mgr.stats()["bytes_copied"] == before + 1000
+        after = mgr.stats()
+        assert after["bytes_copied"] == before["bytes_copied"] + 1000
+        assert after["segments_exported"] == before["segments_exported"] + 1
